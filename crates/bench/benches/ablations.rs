@@ -1,6 +1,7 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * Lemire streaming envelopes vs the naive O(n·w) construction;
+//! * block-extrema (van Herk / Gil-Werman) envelopes vs the naive O(n·w)
+//!   construction;
 //! * early-abandoning DTW vs running the full band DP, at tight and loose
 //!   thresholds;
 //! * cascaded 1-NN vs brute-force 1-NN (the §3.4 claim in miniature);
@@ -44,7 +45,7 @@ fn envelopes(c: &mut Criterion) {
     let q = random_walk(1024, 3).unwrap();
     let band = 64;
     let mut g = c.benchmark_group("ablation_envelope");
-    g.bench_function("lemire", |b| {
+    g.bench_function("block_extrema", |b| {
         b.iter(|| black_box(Envelope::new(&q, band).unwrap()))
     });
     g.bench_function("naive", |b| {

@@ -115,10 +115,8 @@ mod tests {
     use super::*;
     use tsdtw_datasets::ucr_format::write_ucr;
 
-    fn make_archive() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("tsdtw-bakeoff-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+    fn make_archive(test: &str) -> std::path::PathBuf {
+        let dir = crate::test_dir(test);
         for (name, seed) in [("Alpha", 1u64), ("Beta", 2u64)] {
             let data = tsdtw_datasets::cbf::dataset(48, 6, seed).unwrap();
             let (train, test) = data.split_stratified(3).unwrap();
@@ -136,7 +134,7 @@ mod tests {
 
     #[test]
     fn runs_over_a_directory_of_dataset_pairs() {
-        let dir = make_archive();
+        let dir = make_archive("bakeoff-runs_over_a_directory_of_dataset_pairs");
         let out = run(&raw(&[
             "--dir",
             dir.to_str().unwrap(),
@@ -154,7 +152,7 @@ mod tests {
 
     #[test]
     fn limit_restricts_dataset_count() {
-        let dir = make_archive();
+        let dir = make_archive("bakeoff-limit_restricts_dataset_count");
         let out = run(&raw(&[
             "--dir",
             dir.to_str().unwrap(),
@@ -172,8 +170,7 @@ mod tests {
 
     #[test]
     fn empty_directory_is_a_clean_error() {
-        let dir = std::env::temp_dir().join("tsdtw-bakeoff-empty");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::test_dir("bakeoff-empty_directory_is_a_clean_error");
         assert!(run(&raw(&["--dir", dir.to_str().unwrap()])).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -157,9 +157,9 @@ mod tests {
     use tsdtw_datasets::cbf::dataset;
     use tsdtw_datasets::ucr_format::write_ucr;
 
-    fn setup() -> (std::path::PathBuf, std::path::PathBuf) {
-        let dir = std::env::temp_dir().join("tsdtw-classify-test");
-        std::fs::create_dir_all(&dir).unwrap();
+    /// Writes the train/test split into the test's own directory.
+    fn setup(test: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let dir = crate::test_dir(test);
         let data = dataset(64, 8, 42).unwrap();
         let (train, test) = data.split_stratified(4).unwrap();
         let train_p = dir.join("train.tsv");
@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn classifies_cbf_well_with_auto_window() {
-        let (train, test) = setup();
+        let (train, test) = setup("classify-classifies_cbf_well_with_auto_window");
         let out = run(&raw(&[
             "--train",
             train.to_str().unwrap(),
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn explicit_window_and_other_measures_run() {
-        let (train, test) = setup();
+        let (train, test) = setup("classify-explicit_window_and_other_measures_run");
         for extra in [
             vec!["--w", "5"],
             vec!["--measure", "euclidean"],
@@ -226,10 +226,8 @@ mod tests {
 
     #[test]
     fn stats_switch_sums_work_over_the_split() {
-        let (train, test) = setup();
-        let json = std::env::temp_dir()
-            .join("tsdtw-classify-test")
-            .join("work.json");
+        let (train, test) = setup("classify-stats_switch_sums_work_over_the_split");
+        let json = train.with_file_name("work.json");
         let out = run(&raw(&[
             "--train",
             train.to_str().unwrap(),
@@ -251,10 +249,8 @@ mod tests {
 
     #[test]
     fn metrics_flag_meters_without_stats_output() {
-        let (train, test) = setup();
-        let prom = std::env::temp_dir()
-            .join("tsdtw-classify-test")
-            .join("metrics.prom");
+        let (train, test) = setup("classify-metrics_flag_meters_without_stats_output");
+        let prom = train.with_file_name("metrics.prom");
         let out = run(&raw(&[
             "--train",
             train.to_str().unwrap(),
@@ -277,7 +273,7 @@ mod tests {
 
     #[test]
     fn threads_flag_is_bitwise_output_invariant() {
-        let (train, test) = setup();
+        let (train, test) = setup("classify-threads_flag_is_bitwise_output_invariant");
         let base = |threads: &str| {
             run(&raw(&[
                 "--train",
@@ -307,7 +303,7 @@ mod tests {
 
     #[test]
     fn explain_on_brute_force_evaluation_degrades_to_a_note() {
-        let (train, test) = setup();
+        let (train, test) = setup("classify-explain_on_brute_force_evaluation_degrades_to_a_note");
         let out = run(&raw(&[
             "--train",
             train.to_str().unwrap(),
@@ -325,7 +321,7 @@ mod tests {
 
     #[test]
     fn zero_threads_is_a_clean_error() {
-        let (train, test) = setup();
+        let (train, test) = setup("classify-zero_threads_is_a_clean_error");
         assert!(run(&raw(&[
             "--train",
             train.to_str().unwrap(),

@@ -77,9 +77,8 @@ mod tests {
     use tsdtw_datasets::cbf::dataset;
     use tsdtw_datasets::ucr_format::write_ucr;
 
-    fn setup() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("tsdtw-cluster-test");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn setup(test: &str) -> std::path::PathBuf {
+        let dir = crate::test_dir(test);
         let data = dataset(48, 5, 17).unwrap();
         let p = dir.join("data.tsv");
         let mut f = std::fs::File::create(&p).unwrap();
@@ -93,7 +92,7 @@ mod tests {
 
     #[test]
     fn hierarchical_clustering_reports_purity() {
-        let p = setup();
+        let p = setup("cluster-hierarchical_clustering_reports_purity");
         let out = run(&raw(&[
             "--file",
             p.to_str().unwrap(),
@@ -109,7 +108,7 @@ mod tests {
 
     #[test]
     fn kmedoids_runs_too() {
-        let p = setup();
+        let p = setup("cluster-kmedoids_runs_too");
         let out = run(&raw(&[
             "--file",
             p.to_str().unwrap(),
@@ -124,7 +123,7 @@ mod tests {
 
     #[test]
     fn bad_linkage_is_an_error() {
-        let p = setup();
+        let p = setup("cluster-bad_linkage_is_an_error");
         assert!(run(&raw(&[
             "--file",
             p.to_str().unwrap(),

@@ -151,9 +151,8 @@ mod tests {
     use super::*;
     use crate::io::write_series;
 
-    fn setup(dir: &str) -> (std::path::PathBuf, std::path::PathBuf) {
-        let d = std::env::temp_dir().join(dir);
-        std::fs::create_dir_all(&d).unwrap();
+    fn setup(test: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+        let d = crate::test_dir(test);
         let a = d.join("a.txt");
         let b = d.join("b.txt");
         write_series(&a, &[0.0, 1.0, 2.0, 1.0, 0.0]).unwrap();
@@ -175,7 +174,7 @@ mod tests {
 
     #[test]
     fn computes_each_measure() {
-        let (a, b) = setup("tsdtw-dist-test");
+        let (a, b) = setup("dist-computes_each_measure");
         for m in ["dtw", "cdtw", "fastdtw", "fastdtw-ref", "euclidean"] {
             let out = run(&raw(&[
                 "--a",
@@ -196,8 +195,7 @@ mod tests {
 
     #[test]
     fn znorm_switch_changes_the_result() {
-        let d = std::env::temp_dir().join("tsdtw-dist-znorm-test");
-        std::fs::create_dir_all(&d).unwrap();
+        let d = crate::test_dir("dist-znorm_switch_changes_the_result");
         let a = d.join("a.txt");
         let b = d.join("b.txt");
         write_series(&a, &[0.0, 1.0, 0.0, 1.0]).unwrap();
@@ -221,10 +219,8 @@ mod tests {
 
     #[test]
     fn stats_switch_prints_counters_and_dumps_json() {
-        let (a, b) = setup("tsdtw-dist-stats-test");
-        let json = std::env::temp_dir()
-            .join("tsdtw-dist-stats-test")
-            .join("work.json");
+        let (a, b) = setup("dist-stats_switch_prints_counters_and_dumps_json");
+        let json = a.with_file_name("work.json");
         let out = run(&raw(&[
             "--a",
             a.to_str().unwrap(),
@@ -251,10 +247,8 @@ mod tests {
         // The cell-count assertion below needs the default (auto)
         // kernel: take the lock so the --kernel sweep can't interleave.
         let _guard = kernel_lock();
-        let (a, b) = setup("tsdtw-dist-metrics-test");
-        let prom = std::env::temp_dir()
-            .join("tsdtw-dist-metrics-test")
-            .join("metrics.prom");
+        let (a, b) = setup("dist-metrics_flag_writes_a_prometheus_exposition");
+        let prom = a.with_file_name("metrics.prom");
         let out = run(&raw(&[
             "--a",
             a.to_str().unwrap(),
@@ -278,10 +272,8 @@ mod tests {
 
     #[test]
     fn trace_flag_writes_a_chrome_trace_file() {
-        let (a, b) = setup("tsdtw-dist-trace-test");
-        let trace = std::env::temp_dir()
-            .join("tsdtw-dist-trace-test")
-            .join("trace.json");
+        let (a, b) = setup("dist-trace_flag_writes_a_chrome_trace_file");
+        let trace = a.with_file_name("trace.json");
         let out = run(&raw(&[
             "--a",
             a.to_str().unwrap(),
@@ -310,7 +302,7 @@ mod tests {
     #[test]
     fn kernel_flag_selects_a_tier_without_changing_the_distance() {
         let _guard = kernel_lock();
-        let (a, b) = setup("tsdtw-dist-kernel-test");
+        let (a, b) = setup("dist-kernel_flag_selects_a_tier_without_changing_the_distance");
         // Every tier from the single-source table, on a banded measure
         // (rle degrades to the sweep there) and on full DTW (where rle
         // actually engages; the integer-valued test series are in its
@@ -371,7 +363,7 @@ mod tests {
 
     #[test]
     fn explain_on_a_cascade_free_path_degrades_to_a_note() {
-        let (a, b) = setup("tsdtw-dist-explain-test");
+        let (a, b) = setup("dist-explain_on_a_cascade_free_path_degrades_to_a_note");
         let out = run(&raw(&[
             "--a",
             a.to_str().unwrap(),
@@ -390,10 +382,8 @@ mod tests {
 
     #[test]
     fn profile_flag_prints_table_and_writes_collapsed_stacks() {
-        let (a, b) = setup("tsdtw-dist-profile-test");
-        let collapsed = std::env::temp_dir()
-            .join("tsdtw-dist-profile-test")
-            .join("profile.txt");
+        let (a, b) = setup("dist-profile_flag_prints_table_and_writes_collapsed_stacks");
+        let collapsed = a.with_file_name("profile.txt");
         let out = run(&raw(&[
             "--a",
             a.to_str().unwrap(),
@@ -435,7 +425,7 @@ mod tests {
 
     #[test]
     fn unknown_measure_is_an_error() {
-        let (a, b) = setup("tsdtw-dist-err-test");
+        let (a, b) = setup("dist-unknown_measure_is_an_error");
         let r = run(&raw(&[
             "--a",
             a.to_str().unwrap(),

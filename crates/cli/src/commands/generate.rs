@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn labeled_and_plain_generators_write_files() {
-        let dir = std::env::temp_dir().join("tsdtw-generate-test");
+        let dir = crate::test_dir("generate-labeled_and_plain_generators_write_files");
         std::fs::create_dir_all(&dir).unwrap();
         for (kind, out) in [
             ("cbf", "cbf.tsv"),
@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn generated_labeled_file_loads_back() {
-        let dir = std::env::temp_dir().join("tsdtw-generate-roundtrip");
+        let dir = crate::test_dir("generate-generated_labeled_file_loads_back");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("cbf.tsv");
         run(&raw(&[
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn split_writes_a_coherent_train_test_pair() {
         use tsdtw_datasets::ucr_format::load_ucr_file;
-        let dir = std::env::temp_dir().join("tsdtw-generate-split");
+        let dir = crate::test_dir("generate-split_writes_a_coherent_train_test_pair");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("tg.tsv");

@@ -74,9 +74,8 @@ mod tests {
         s.iter().map(|v| v.to_string()).collect()
     }
 
-    fn periodic_with_anomaly() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("tsdtw-mine-test");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn periodic_with_anomaly(test: &str) -> std::path::PathBuf {
+        let dir = crate::test_dir(test);
         let p = dir.join("series.txt");
         let mut s: Vec<f64> = (0..320).map(|i| (i as f64 * 0.2).sin()).collect();
         for (k, v) in s[160..192].iter_mut().enumerate() {
@@ -88,7 +87,7 @@ mod tests {
 
     #[test]
     fn motif_finds_repeats_and_discord_finds_the_anomaly() {
-        let p = periodic_with_anomaly();
+        let p = periodic_with_anomaly("mine-motif_finds_repeats_and_discord_finds_the_anomaly");
         let m_out = run_motif(&raw(&["--file", p.to_str().unwrap(), "--m", "31"])).unwrap();
         assert!(m_out.contains("top motif"), "{m_out}");
         let d_out = run_discord(&raw(&["--file", p.to_str().unwrap(), "--m", "31"])).unwrap();
@@ -108,7 +107,7 @@ mod tests {
 
     #[test]
     fn threads_flag_is_bitwise_output_invariant() {
-        let p = periodic_with_anomaly();
+        let p = periodic_with_anomaly("mine-threads_flag_is_bitwise_output_invariant");
         for threads in ["2", "4"] {
             let serial = run_motif(&raw(&["--file", p.to_str().unwrap(), "--m", "31"])).unwrap();
             let par = run_motif(&raw(&[
@@ -137,7 +136,7 @@ mod tests {
 
     #[test]
     fn too_short_series_is_an_error() {
-        let dir = std::env::temp_dir().join("tsdtw-mine-err");
+        let dir = crate::test_dir("mine-too_short_series_is_an_error");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("tiny.txt");
         write_series(&p, &[1.0, 2.0, 3.0]).unwrap();

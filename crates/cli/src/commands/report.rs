@@ -666,17 +666,14 @@ mod tests {
         s.iter().map(|v| v.to_string()).collect()
     }
 
-    fn tmpdir(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(name);
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    fn tmpdir(test: &str) -> std::path::PathBuf {
+        crate::test_dir(test)
     }
 
     /// A results root holding a ledger for `cells` built from the given
     /// (cells, wall_s) pairs, oldest first.
-    fn ledger_dir(name: &str, runs: &[(i64, f64)]) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(name);
-        let _ = std::fs::remove_dir_all(&d);
+    fn ledger_dir(test: &str, runs: &[(i64, f64)]) -> std::path::PathBuf {
+        let d = crate::test_dir(test);
         for (cells, wall) in runs {
             let mut s = snap_json(*cells);
             s.set("wall_s", *wall);
@@ -688,7 +685,7 @@ mod tests {
 
     #[test]
     fn identical_snapshots_pass() {
-        let d = tmpdir("tsdtw-report-same");
+        let d = tmpdir("report-identical_snapshots_pass");
         let a = snap_file(&d, "a.json", 100);
         let b = snap_file(&d, "b.json", 100);
         let out = run(&raw(&["diff", &a, &b])).unwrap();
@@ -697,7 +694,7 @@ mod tests {
 
     #[test]
     fn regression_is_an_error_with_details() {
-        let d = tmpdir("tsdtw-report-regress");
+        let d = tmpdir("report-regression_is_an_error_with_details");
         let a = snap_file(&d, "a.json", 100);
         let b = snap_file(&d, "b.json", 150);
         let err = run(&raw(&["diff", &a, &b])).unwrap_err().to_string();
@@ -710,7 +707,7 @@ mod tests {
 
     #[test]
     fn improvements_pass_at_zero_tolerance() {
-        let d = tmpdir("tsdtw-report-improve");
+        let d = tmpdir("report-improvements_pass_at_zero_tolerance");
         let a = snap_file(&d, "a.json", 100);
         let b = snap_file(&d, "b.json", 80);
         let out = run(&raw(&["diff", &a, &b])).unwrap();
@@ -719,7 +716,7 @@ mod tests {
 
     #[test]
     fn dropped_section_fails_the_gate_even_with_loose_tolerance() {
-        let d = tmpdir("tsdtw-report-sections");
+        let d = tmpdir("report-dropped_section_fails_the_gate_even_with_loose_tolerance");
         let a = snap_file(&d, "a.json", 100);
         let mut stripped = snap_json(100);
         if let Json::Obj(fields) = &mut stripped {
@@ -736,7 +733,7 @@ mod tests {
     #[test]
     fn trend_over_clean_history_passes_and_writes_dashboard() {
         let d = ledger_dir(
-            "tsdtw-report-trend-clean",
+            "report-trend_over_clean_history_passes_and_writes_dashboard",
             &[(100, 1.0), (100, 1.0), (100, 1.0)],
         );
         let out = run(&raw(&["trend", "--history", d.to_str().unwrap()])).unwrap();
@@ -752,7 +749,7 @@ mod tests {
     #[test]
     fn trend_counter_regression_fails_only_under_the_flag() {
         let d = ledger_dir(
-            "tsdtw-report-trend-regress",
+            "report-trend_counter_regression_fails_only_under_the_flag",
             &[(100, 1.0), (100, 1.0), (120, 1.0)],
         );
         let dir = d.to_str().unwrap().to_string();
@@ -775,7 +772,7 @@ mod tests {
     #[test]
     fn trend_flags_tune_window_and_output_path() {
         let d = ledger_dir(
-            "tsdtw-report-trend-flags",
+            "report-trend_flags_tune_window_and_output_path",
             &[(100, 1.0), (100, 1.0), (100, 1.0)],
         );
         let out_md = d.join("custom").join("DASH.md");
@@ -820,7 +817,7 @@ mod tests {
 
     #[test]
     fn trend_without_history_names_the_missing_directory() {
-        let d = tmpdir("tsdtw-report-trend-empty");
+        let d = tmpdir("report-trend_without_history_names_the_missing_directory");
         let err = run(&raw(&["trend", "--history", d.to_str().unwrap()]))
             .unwrap_err()
             .to_string();
@@ -830,7 +827,7 @@ mod tests {
 
     #[test]
     fn show_renders_aligned_sections() {
-        let d = tmpdir("tsdtw-report-show");
+        let d = tmpdir("report-show_renders_aligned_sections");
         let mut s = snap_json(12345);
         s.set(
             "kernels",
@@ -911,7 +908,7 @@ mod tests {
 
     #[test]
     fn show_degrades_cleanly_when_the_snapshot_has_no_funnel() {
-        let d = tmpdir("tsdtw-report-show-nofunnel");
+        let d = tmpdir("report-show_degrades_cleanly_when_the_snapshot_has_no_funnel");
         // Pre-v4 snapshots have no funnel key at all.
         let mut old = snap_json(100);
         old.set("schema", 3i64);
@@ -931,7 +928,7 @@ mod tests {
 
     #[test]
     fn show_degrades_cleanly_when_the_snapshot_has_no_rle_section() {
-        let d = tmpdir("tsdtw-report-show-norle");
+        let d = tmpdir("report-show_degrades_cleanly_when_the_snapshot_has_no_rle_section");
         // Pre-v5 snapshots have no rle key at all: note, don't omit.
         let mut old = snap_json(100);
         old.set("schema", 4i64);
@@ -951,7 +948,7 @@ mod tests {
 
     #[test]
     fn show_degrades_cleanly_when_the_snapshot_has_no_tiers_section() {
-        let d = tmpdir("tsdtw-report-show-notiers");
+        let d = tmpdir("report-show_degrades_cleanly_when_the_snapshot_has_no_tiers_section");
         // Pre-v6 snapshots have no tiers key at all: note, don't omit.
         let mut old = snap_json(100);
         old.set("schema", 5i64);
@@ -971,7 +968,7 @@ mod tests {
 
     #[test]
     fn show_degrades_cleanly_when_the_snapshot_has_no_profile_section() {
-        let d = tmpdir("tsdtw-report-show-noprofile");
+        let d = tmpdir("report-show_degrades_cleanly_when_the_snapshot_has_no_profile_section");
         // Pre-v7 snapshots have no profile key at all: note, don't omit.
         let mut old = snap_json(100);
         old.set("schema", 6i64);
@@ -991,7 +988,7 @@ mod tests {
 
     #[test]
     fn show_renders_the_profile_section() {
-        let d = tmpdir("tsdtw-report-show-profile");
+        let d = tmpdir("report-show_renders_the_profile_section");
         let mut s = snap_json(100);
         s.set(
             "profile",
@@ -1024,7 +1021,7 @@ mod tests {
 
     #[test]
     fn diff_attribute_names_the_grown_span_on_both_outcomes() {
-        let d = tmpdir("tsdtw-report-attribute");
+        let d = tmpdir("report-diff_attribute_names_the_grown_span_on_both_outcomes");
         let span = |total: f64| {
             json_obj! {
                 "count" => 40, "total_s" => total, "p50_s" => 0.001,
@@ -1065,7 +1062,7 @@ mod tests {
 
     #[test]
     fn diff_attribute_degrades_to_a_note_without_span_evidence() {
-        let d = tmpdir("tsdtw-report-attribute-bare");
+        let d = tmpdir("report-diff_attribute_degrades_to_a_note_without_span_evidence");
         let a = snap_file(&d, "a.json", 100);
         let b = snap_file(&d, "b.json", 100);
         let out = run(&raw(&["diff", &a, &b, "--attribute"])).unwrap();
@@ -1074,9 +1071,8 @@ mod tests {
 
     #[test]
     fn trend_attribute_names_suspects_for_the_drifting_experiment() {
-        let name = "tsdtw-report-trend-attribute";
-        let d = std::env::temp_dir().join(name);
-        let _ = std::fs::remove_dir_all(&d);
+        let d =
+            crate::test_dir("report-trend_attribute_names_suspects_for_the_drifting_experiment");
         let span = |total: f64| {
             json_obj! {
                 "count" => 40, "total_s" => total, "p50_s" => 0.001,
@@ -1106,7 +1102,7 @@ mod tests {
 
     #[test]
     fn flame_renders_a_collapsed_stack_file() {
-        let d = tmpdir("tsdtw-report-flame");
+        let d = tmpdir("report-flame_renders_a_collapsed_stack_file");
         let path = d.join("collapsed.txt");
         std::fs::write(
             &path,
@@ -1143,7 +1139,7 @@ mod tests {
 
     #[test]
     fn bad_usage_is_rejected() {
-        let d = tmpdir("tsdtw-report-usage");
+        let d = tmpdir("report-bad_usage_is_rejected");
         let a = snap_file(&d, "a.json", 1);
         assert!(run(&raw(&[])).is_err(), "missing action");
         assert!(run(&raw(&["frobnicate"])).is_err(), "unknown action");

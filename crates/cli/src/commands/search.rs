@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn finds_a_planted_query() {
-        let dir = std::env::temp_dir().join("tsdtw-search-test");
+        let dir = crate::test_dir("search-finds_a_planted_query");
         std::fs::create_dir_all(&dir).unwrap();
         let query: Vec<f64> = (0..32).map(|i| (i as f64 * 0.35).sin() * 2.0).collect();
         let mut hay: Vec<f64> = (0..500)
@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn stats_switch_reports_search_work() {
-        let dir = std::env::temp_dir().join("tsdtw-search-stats-test");
+        let dir = crate::test_dir("search-stats_switch_reports_search_work");
         std::fs::create_dir_all(&dir).unwrap();
         let query: Vec<f64> = (0..24).map(|i| (i as f64 * 0.4).sin()).collect();
         let mut hay: Vec<f64> = (0..300).map(|i| ((i * 7) as f64).cos()).collect();
@@ -202,7 +202,7 @@ mod tests {
 
     #[test]
     fn threads_flag_is_bitwise_output_invariant() {
-        let dir = std::env::temp_dir().join("tsdtw-search-threads-test");
+        let dir = crate::test_dir("search-threads_flag_is_bitwise_output_invariant");
         std::fs::create_dir_all(&dir).unwrap();
         let query: Vec<f64> = (0..28).map(|i| (i as f64 * 0.3).sin()).collect();
         let hay: Vec<f64> = (0..600).map(|i| ((i * 3) as f64 * 0.11).sin()).collect();
@@ -258,7 +258,8 @@ mod tests {
 
     #[test]
     fn explain_funnel_is_bitwise_invariant_across_thread_counts() {
-        let dir = std::env::temp_dir().join("tsdtw-search-explain-test");
+        let dir =
+            crate::test_dir("search-explain_funnel_is_bitwise_invariant_across_thread_counts");
         std::fs::create_dir_all(&dir).unwrap();
         let query: Vec<f64> = (0..28).map(|i| (i as f64 * 0.3).sin()).collect();
         let hay: Vec<f64> = (0..600).map(|i| ((i * 3) as f64 * 0.11).sin()).collect();
@@ -307,7 +308,7 @@ mod tests {
 
     #[test]
     fn query_longer_than_haystack_is_an_error() {
-        let dir = std::env::temp_dir().join("tsdtw-search-err-test");
+        let dir = crate::test_dir("search-query_longer_than_haystack_is_an_error");
         std::fs::create_dir_all(&dir).unwrap();
         let hp = dir.join("hay.txt");
         let qp = dir.join("query.txt");

@@ -58,7 +58,7 @@ mod tests {
 
     #[test]
     fn produces_a_profile_and_winner() {
-        let dir = std::env::temp_dir().join("tsdtw-window-test");
+        let dir = crate::test_dir("window-produces_a_profile_and_winner");
         std::fs::create_dir_all(&dir).unwrap();
         let data = dataset(48, 6, 3).unwrap();
         let p = dir.join("data.tsv");

@@ -70,7 +70,7 @@ mod tests {
 
     #[test]
     fn roundtrip_via_tempfile() {
-        let dir = std::env::temp_dir().join("tsdtw-cli-io-test");
+        let dir = crate::test_dir("io-roundtrip_via_tempfile");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("series.txt");
         let series = vec![0.25, -1.0, 1e6, 0.0];

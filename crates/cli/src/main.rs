@@ -18,6 +18,18 @@ mod stats;
 
 use std::process::ExitCode;
 
+/// A fresh, empty scratch directory for one unit test, named after the
+/// test and this process: tests running side by side in the default
+/// parallel harness (or in two `cargo test` runs at once) never share
+/// files.
+#[cfg(test)]
+fn test_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("tsdtw-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 const TOP_HELP: &str = "\
 tsdtw — exact & approximate DTW toolkit (see `tsdtw help <command>`)
 

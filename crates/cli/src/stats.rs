@@ -33,14 +33,7 @@ pub const PROFILE_FLAG: &str = "profile";
 /// then rename — the same discipline as `Report::write_json`, so a
 /// concurrent reader (or a crash mid-write) never observes a torn file.
 pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
-    let name = path
-        .file_name()
-        .ok_or_else(|| std::io::Error::other(format!("{} has no file name", path.display())))?;
-    let tmp = dir.join(format!(".{}.tmp", name.to_string_lossy()));
+    let tmp = temp_sibling(path)?;
     std::fs::write(&tmp, text)?;
     match std::fs::rename(&tmp, path) {
         Ok(()) => Ok(()),
@@ -49,6 +42,20 @@ pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
             Err(e)
         }
     }
+}
+
+/// The hidden temp file `write_atomic` stages `path` in: same directory
+/// (the current one for a bare file name), so the rename never crosses
+/// file systems.
+fn temp_sibling(path: &Path) -> std::io::Result<std::path::PathBuf> {
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
+        _ => std::path::PathBuf::from("."),
+    };
+    let name = path
+        .file_name()
+        .ok_or_else(|| std::io::Error::other(format!("{} has no file name", path.display())))?;
+    Ok(dir.join(format!(".{}.tmp", name.to_string_lossy())))
 }
 
 /// Arms the flight recorder if the command was given `--trace FILE`.
@@ -295,7 +302,7 @@ mod tests {
 
     #[test]
     fn renders_summary_and_writes_json() {
-        let dir = std::env::temp_dir().join("tsdtw-stats-test");
+        let dir = crate::test_dir("stats-renders_summary_and_writes_json");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("work.json");
         let mut meter = WorkMeter::new();
@@ -317,7 +324,7 @@ mod tests {
 
     #[test]
     fn heap_delta_renders_a_memory_line_and_json_section() {
-        let dir = std::env::temp_dir().join("tsdtw-stats-mem-test");
+        let dir = crate::test_dir("stats-heap_delta_renders_a_memory_line_and_json_section");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("work.json");
         let meter = WorkMeter::new();
@@ -356,7 +363,7 @@ mod tests {
 
     #[test]
     fn metrics_finish_writes_an_exposition_file() {
-        let dir = std::env::temp_dir().join("tsdtw-stats-metrics-test");
+        let dir = crate::test_dir("stats-metrics_finish_writes_an_exposition_file");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("metrics.prom");
         let mut meter = WorkMeter::new();
@@ -381,7 +388,7 @@ mod tests {
     #[test]
     fn explain_finish_renders_table_and_writes_json() {
         use tsdtw_obs::{FunnelStage, Meter};
-        let dir = std::env::temp_dir().join("tsdtw-stats-explain-test");
+        let dir = crate::test_dir("stats-explain_finish_renders_table_and_writes_json");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("funnel.json");
         let mut meter = WorkMeter::new();
@@ -432,20 +439,23 @@ mod tests {
 
     #[test]
     fn write_atomic_handles_bare_file_names() {
-        let dir = std::env::temp_dir().join("tsdtw-stats-atomic-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let prev = std::env::current_dir().unwrap();
-        // Bare names (no parent component) must land in the cwd.
-        std::env::set_current_dir(&dir).unwrap();
-        write_atomic(Path::new("bare.json"), "{}").unwrap();
-        let ok = std::fs::read_to_string(dir.join("bare.json"));
-        std::env::set_current_dir(prev).unwrap();
-        assert_eq!(ok.unwrap(), "{}");
+        // Bare names (no parent component) stage in, and so land in, the
+        // current directory; the cwd itself is process-wide, so it is
+        // read here, never changed.
+        let bare = temp_sibling(Path::new("bare.json")).unwrap();
+        assert_eq!(bare, Path::new(".").join(".bare.json.tmp"));
+        let dir = crate::test_dir("stats-write_atomic_handles_bare_file_names");
+        let path = dir.join("nested.json");
+        assert_eq!(temp_sibling(&path).unwrap(), dir.join(".nested.json.tmp"));
+        write_atomic(&path, "{}").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{}");
+        assert!(!dir.join(".nested.json.tmp").exists());
+        assert!(temp_sibling(Path::new("/")).is_err());
     }
 
     #[test]
     fn trace_flow_writes_a_valid_chrome_trace() {
-        let dir = std::env::temp_dir().join("tsdtw-stats-trace-test");
+        let dir = crate::test_dir("stats-trace_flow_writes_a_valid_chrome_trace");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
         let path_str = path.to_str().unwrap().to_string();
@@ -471,7 +481,7 @@ mod tests {
 
     #[test]
     fn profile_flow_writes_collapsed_stacks() {
-        let dir = std::env::temp_dir().join("tsdtw-stats-profile-test");
+        let dir = crate::test_dir("stats-profile_flow_writes_collapsed_stacks");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("profile.txt");
         let path_str = path.to_str().unwrap().to_string();

@@ -35,7 +35,10 @@
 //! scalar kernel ([`super::early_abandon`]) — and drops out of the
 //! metering exactly at the row where the scalar kernel would abandon,
 //! so per-lane outcomes, `rows_filled`, and `ea.*` counters all match
-//! the scalar kernel with the same thresholds.
+//! the scalar kernel with the same thresholds. Once no more than
+//! two lanes are alive it stops the lockstep fill and finishes each live
+//! lane on the scalar row sweep from the last row filled — the same cell
+//! recurrence and fold order, so nothing observable changes but time.
 
 use crate::cost::CostFn;
 use crate::error::{check_finite, check_nonempty, Error, Result};
@@ -44,11 +47,18 @@ use tsdtw_obs::{Meter, NoMeter};
 
 use super::banded::check_band;
 use super::early_abandon::EaOutcome;
+use super::sweep;
 
 /// Number of candidate lanes per batched call. Eight f64 lanes match
 /// the widest vector unit this crate targets and keep the struct-of-
 /// lanes rows cache-resident for the band widths the experiments use.
 pub const LANES: usize = 8;
+
+/// Live-lane count at or below which the early-abandoning kernel stops
+/// filling rows in lockstep and finishes each remaining lane on the
+/// scalar sweep: with two of eight lanes alive, the lockstep fill costs
+/// more per live cell than two scalar rows do.
+const SCALAR_TAIL: usize = 2;
 
 /// Reusable scratch for the batched kernel: two struct-of-lanes DP
 /// rows, the lane-transposed candidate block, and the memoized band
@@ -61,6 +71,10 @@ pub struct BatchBuffer {
     cur: Vec<[f64; LANES]>,
     /// `yt[j][l]` = candidate `l`'s column `j`.
     yt: Vec<[f64; LANES]>,
+    /// Scalar rows for the lanes the early-abandoning kernel finishes
+    /// one at a time.
+    lane_prev: Vec<f64>,
+    lane_cur: Vec<f64>,
     cached_window: Option<(usize, SearchWindow)>,
 }
 
@@ -74,6 +88,21 @@ impl BatchBuffer {
     pub fn capacity_bytes(&self) -> usize {
         (self.prev.capacity() + self.cur.capacity() + self.yt.capacity())
             * std::mem::size_of::<[f64; LANES]>()
+            + (self.lane_prev.capacity() + self.lane_cur.capacity()) * std::mem::size_of::<f64>()
+    }
+
+    /// Sizes the scratch for `x.len() == n`, candidates of length `m`
+    /// and `band`, so that the first batched call of that shape allocates
+    /// nothing.
+    pub(crate) fn prepare(&mut self, n: usize, m: usize, band: usize) {
+        let window = self.take_window(n, m, band);
+        let width = window.max_row_width();
+        self.yt.reserve(m);
+        self.prev.reserve(width);
+        self.cur.reserve(width);
+        self.lane_prev.reserve(width);
+        self.lane_cur.reserve(width);
+        self.cached_window = Some((band, window));
     }
 
     fn take_window(&mut self, n: usize, m: usize, band: usize) -> SearchWindow {
@@ -259,7 +288,9 @@ fn batch_row<C: CostFn>(
 /// the row `cdtw_distance_ea(x, ys[l], band, thresholds[l], cb_l, ..)`
 /// abandons at, and completed lanes return the bitwise-equal exact
 /// distance; `ea.*`/`cells` counters fold only over rows a lane was
-/// still alive for, matching the scalar kernel per lane.
+/// still alive for, matching the scalar kernel per lane. Lane `l`'s
+/// outcome is written to `out[l]`; a warmed `buf` makes the call
+/// allocation-free.
 #[allow(clippy::too_many_arguments)]
 pub fn cdtw_batch_ea_metered<C: CostFn, M: Meter>(
     x: &[f64],
@@ -269,14 +300,21 @@ pub fn cdtw_batch_ea_metered<C: CostFn, M: Meter>(
     cbs: Option<&[&[f64]]>,
     cost: C,
     buf: &mut BatchBuffer,
+    out: &mut [EaOutcome],
     meter: &mut M,
-) -> Result<Vec<EaOutcome>> {
+) -> Result<()> {
     let m = check_batch(x, ys, band)?;
     let active = ys.len();
     if thresholds.len() != active {
         return Err(Error::InvalidParameter {
             name: "thresholds",
             reason: format!("{} thresholds for {} candidates", thresholds.len(), active),
+        });
+    }
+    if out.len() != active {
+        return Err(Error::InvalidParameter {
+            name: "out",
+            reason: format!("{} slots for {} candidates", out.len(), active),
         });
     }
     if let Some(cbs) = cbs {
@@ -326,7 +364,7 @@ pub fn cdtw_batch_ea_metered<C: CostFn, M: Meter>(
         })
     };
 
-    let mut outcome = vec![EaOutcome::Exact(f64::NAN); active];
+    let outcome = out;
     let mut alive = [false; LANES];
     alive[..active].fill(true);
 
@@ -355,9 +393,10 @@ pub fn cdtw_batch_ea_metered<C: CostFn, M: Meter>(
     }
     let mut plo = lo0;
     let mut phi = hi0;
+    let mut next_row = 1;
 
     for (i, &xi) in x.iter().enumerate().skip(1) {
-        if n_alive == 0 {
+        if n_alive <= SCALAR_TAIL {
             break;
         }
         let (lo, hi) = window.row_bounds(i);
@@ -403,19 +442,44 @@ pub fn cdtw_batch_ea_metered<C: CostFn, M: Meter>(
         std::mem::swap(&mut buf.prev, &mut buf.cur);
         plo = lo;
         phi = hi;
+        next_row = i + 1;
     }
 
-    if n_alive > 0 {
-        let (lo_last, _) = window.row_bounds(n - 1);
-        for (l, slot) in outcome.iter_mut().enumerate() {
-            if alive[l] {
-                meter.ea_rows(n as u64, n as u64);
-                *slot = EaOutcome::Exact(cost.finish(buf.prev[m - 1 - lo_last][l]));
-            }
+    // Lanes still alive finish one at a time on the scalar sweep, from
+    // the last row filled in lockstep (with every row filled, that is
+    // just reading out the distance).
+    let segmented = C::SEGMENTED_FAST;
+    for (l, slot) in outcome.iter_mut().enumerate() {
+        if !alive[l] {
+            continue;
         }
+        let (lane_prev, lane_cur) = (&mut buf.lane_prev, &mut buf.lane_cur);
+        lane_prev.clear();
+        lane_prev.extend(buf.prev[..=phi - plo].iter().map(|v| v[l]));
+        lane_cur.clear();
+        lane_cur.resize(width, f64::INFINITY);
+        let (mut lplo, mut lphi) = (plo, phi);
+        *slot = 'rows: {
+            for (i, &xi) in x.iter().enumerate().skip(next_row) {
+                let (lo, hi) = window.row_bounds(i);
+                meter.cells((hi - lo + 1) as u64);
+                let row_min = sweep::min_row(
+                    segmented, xi, ys[l], lo, hi, lplo, lphi, lane_prev, lane_cur, cost,
+                );
+                if row_min + suffix_bound(l, i) > thresholds[l] {
+                    meter.ea_rows((i + 1) as u64, n as u64);
+                    break 'rows EaOutcome::Abandoned { rows_filled: i + 1 };
+                }
+                std::mem::swap(lane_prev, lane_cur);
+                lane_cur.resize(width, f64::INFINITY);
+                (lplo, lphi) = (lo, hi);
+            }
+            meter.ea_rows(n as u64, n as u64);
+            EaOutcome::Exact(cost.finish(lane_prev[m - 1 - lplo]))
+        };
     }
     buf.cached_window = Some((band, window));
-    Ok(outcome)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -557,7 +621,8 @@ mod tests {
 
         let mut batched = WorkMeter::new();
         let mut buf = BatchBuffer::new();
-        let got = cdtw_batch_ea_metered(
+        let mut got = vec![EaOutcome::Exact(f64::NAN); ys.len()];
+        cdtw_batch_ea_metered(
             &x,
             &ys,
             band,
@@ -565,6 +630,7 @@ mod tests {
             None,
             SquaredCost,
             &mut buf,
+            &mut got,
             &mut batched,
         )
         .unwrap();
@@ -593,7 +659,8 @@ mod tests {
         let cbs: Vec<&[f64]> = vec![&cb; 3];
         let thresholds = vec![1.0; 3];
         let mut buf = BatchBuffer::new();
-        let got = cdtw_batch_ea_metered(
+        let mut got = vec![EaOutcome::Exact(f64::NAN); ys.len()];
+        cdtw_batch_ea_metered(
             &x,
             &ys,
             band,
@@ -601,6 +668,7 @@ mod tests {
             Some(&cbs),
             SquaredCost,
             &mut buf,
+            &mut got,
             &mut NoMeter,
         )
         .unwrap();
@@ -637,6 +705,7 @@ mod tests {
         assert!(cdtw_batch_distances(&x, &[&a, &a], 3, SquaredCost, &mut short).is_err());
         // Threshold/cb arity mismatches on the EA form.
         let mut buf = BatchBuffer::new();
+        let mut slots = [EaOutcome::Exact(f64::NAN); 2];
         assert!(cdtw_batch_ea_metered(
             &x,
             &[&a, &a],
@@ -645,6 +714,19 @@ mod tests {
             None,
             SquaredCost,
             &mut buf,
+            &mut slots,
+            &mut NoMeter
+        )
+        .is_err());
+        assert!(cdtw_batch_ea_metered(
+            &x,
+            &[&a, &a],
+            3,
+            &[1.0, 1.0],
+            None,
+            SquaredCost,
+            &mut buf,
+            &mut slots[..1],
             &mut NoMeter
         )
         .is_err());
@@ -658,6 +740,7 @@ mod tests {
             Some(&cbs),
             SquaredCost,
             &mut buf,
+            &mut slots,
             &mut NoMeter
         )
         .is_err());

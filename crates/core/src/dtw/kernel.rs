@@ -139,6 +139,15 @@ impl Kernel {
         names.join(", ")
     }
 
+    /// Whether the mining scans (brute-force 1-NN / k-NN and the
+    /// cascade's DTW stage) run groups of up to
+    /// [`LANES`](crate::dtw::batch::LANES) candidates on the batched
+    /// kernel under this tier: `Auto` and `Batched` do; an explicitly
+    /// pinned scalar tier keeps them one candidate at a time.
+    pub fn batches_scans(self) -> bool {
+        matches!(self, Kernel::Auto | Kernel::Batched)
+    }
+
     /// Whether this tier resolves to the segmented sweep for cost `C`.
     ///
     /// `Rle`, `Wavefront` and `Batched` answer like `Auto`: row-sweep

@@ -13,7 +13,7 @@
 //!   [`fastdtw::reference`](mod@fastdtw::reference) (the canonical
 //!   implementation);
 //! * the **UCR-suite acceleration stack** that only the exact algorithm can
-//!   use: z-normalization ([`norm`]), Lemire envelopes ([`envelope`]),
+//!   use: z-normalization ([`norm`]), O(n) warping envelopes ([`envelope`]),
 //!   LB_Kim / LB_Keogh / LB_Improved and the pruning cascade
 //!   ([`lower_bounds`]), and early-abandoning DTW
 //!   ([`dtw::early_abandon`]);

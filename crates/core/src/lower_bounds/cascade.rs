@@ -5,31 +5,38 @@
 //!
 //! 1. **LB_Kim** (hierarchical, O(1)) — prunes gross mismatches;
 //! 2. **LB_Keogh(q → c)** (reordered, early-abandoning, O(n)) — candidate
-//!    against the query's envelope;
-//! 3. **LB_Keogh(c → q)** — query against the candidate's envelope, built
-//!    on demand (still O(n) via Lemire);
+//!    against the query's envelope; the pass keeps its per-index terms;
+//! 3. **LB_Keogh(c → q)** — query against the candidate's envelope, rebuilt
+//!    in place per candidate (O(n), block extrema, no allocation);
 //! 4. **early-abandoning banded DTW**, seeded with the cumulative bound
-//!    from stage 2.
+//!    suffix-summed from stage 2's terms.
 //!
 //! Each stage only runs if the previous one failed to prune. The exact same
 //! distance is returned as a brute-force `cDTW_w` would return — the
 //! cascade is *exact*, just faster, which is the whole point of the paper's
 //! Section 3.4: the approximate algorithm cannot be accelerated this way,
 //! the exact one can.
+//!
+//! [`Cascade::nearest_metered`] runs a whole 1-NN scan: stages 1–3 per
+//! candidate against the current best-so-far, and stage 4 over groups of
+//! up to [`LANES`] survivors on the batched early-abandoning kernel
+//! (`dtw::batch`), with the best-so-far advanced in index order with
+//! strict `<` after each group. [`Cascade::evaluate_metered`] is the same
+//! stage routine with a group of one.
 
 use std::sync::Arc;
 
 use crate::cost::SquaredCost;
+use crate::dtw::batch::{cdtw_batch_ea_metered, BatchBuffer, LANES};
 use crate::dtw::early_abandon::{cdtw_distance_ea_metered_buf_kernel, EaOutcome};
-use crate::dtw::kernel::default_kernel;
+use crate::dtw::kernel::{default_kernel, Kernel};
 use crate::dtw::windowed::DtwBuffer;
 use crate::envelope::Envelope;
 use crate::error::{Error, Result};
 use tsdtw_obs::{tightness_ppb, FunnelStage, LbKind, Meter, NoMeter, StageTag};
 
 use super::keogh::{
-    lb_keogh_ea, lb_keogh_reordered, lb_keogh_with_contrib, sort_indices_by_magnitude,
-    suffix_sums_into,
+    lb_keogh_ea, lb_keogh_reordered_contrib, sort_indices_by_magnitude, suffix_sums_in_place,
 };
 use super::kim::lb_kim_hierarchy;
 
@@ -148,9 +155,16 @@ pub struct Cascade {
     /// zero heap allocations (`alloc_discipline` asserts this).
     prep: Arc<CascadePrep>,
     stats: CascadeStats,
-    contrib: Vec<f64>,
+    /// Stage-3 scratch: the candidate's envelope, rebuilt in place.
+    cand_env: Envelope,
+    /// [`LANES`] slots of `n`: stage 2 writes a candidate's LB_Keogh
+    /// (q → c) terms into its lane's slot, and the DTW stage suffix-sums
+    /// a survivor's slot in place into the cumulative bound it consumes.
     cb: Vec<f64>,
+    /// Stage 1–3 bounds of each queued survivor, for tightness samples.
+    bounds: [[f64; 3]; LANES],
     buf: DtwBuffer,
+    bbuf: BatchBuffer,
 }
 
 /// The immutable query-side state every [`Cascade`] clone shares.
@@ -169,13 +183,7 @@ impl Clone for Cascade {
     /// `nn_cascade_par` hand one prepared cascade to every worker
     /// without re-running the O(n log n) preparation per worker.
     fn clone(&self) -> Self {
-        Cascade {
-            prep: Arc::clone(&self.prep),
-            stats: self.stats,
-            contrib: Vec::new(),
-            cb: Vec::new(),
-            buf: DtwBuffer::new(),
-        }
+        Cascade::with_prep(Arc::clone(&self.prep), self.stats)
     }
 }
 
@@ -189,18 +197,28 @@ impl Cascade {
         }
         let env = Envelope::new(query, band)?;
         let order = sort_indices_by_magnitude(query);
-        Ok(Cascade {
-            prep: Arc::new(CascadePrep {
-                query: query.to_vec(),
-                band,
-                env,
-                order,
-            }),
-            stats: CascadeStats::default(),
-            contrib: Vec::new(),
+        let prep = Arc::new(CascadePrep {
+            query: query.to_vec(),
+            band,
+            env,
+            order,
+        });
+        Ok(Cascade::with_prep(prep, CascadeStats::default()))
+    }
+
+    fn with_prep(prep: Arc<CascadePrep>, stats: CascadeStats) -> Self {
+        Cascade {
+            prep,
+            stats,
+            cand_env: Envelope {
+                upper: Vec::new(),
+                lower: Vec::new(),
+            },
             cb: Vec::new(),
+            bounds: [[0.0; 3]; LANES],
             buf: DtwBuffer::new(),
-        })
+            bbuf: BatchBuffer::new(),
+        }
     }
 
     /// The band radius in cells.
@@ -225,9 +243,10 @@ impl Cascade {
     }
 
     /// [`Cascade::evaluate`] with work accounting: every lower-bound
-    /// invocation (including the stage-4 contribution recompute), the
-    /// on-demand candidate envelope, the disposal stage, and — through the
-    /// metered DTW kernel — the cells the surviving DP actually filled.
+    /// invocation, the candidate envelope, the disposal stage, and —
+    /// through the metered DTW kernel — the cells the surviving DP
+    /// actually filled. The DTW stage runs the scalar early-abandoning
+    /// kernel of the process default tier.
     ///
     /// Each stage additionally reports to the meter's prune funnel: a
     /// `stage_entered` on entry, a deterministic `stage_cost` (the
@@ -240,6 +259,99 @@ impl Cascade {
         bsf: f64,
         meter: &mut M,
     ) -> Result<CascadeOutcome> {
+        if let Some(pruned) = self.screen(candidate, bsf, 0, meter)? {
+            return Ok(pruned);
+        }
+        let mut out = [PENDING];
+        self.dtw_stage(&[candidate], bsf, default_kernel(), &mut out, meter)?;
+        Ok(out[0])
+    }
+
+    /// Exact 1-NN of the query among `candidates` (`(index, series)`
+    /// pairs, visited in the order given): the first index at the
+    /// smallest `cDTW_band` distance, as an index-order scan with strict
+    /// `<` would pick it, or `None` when no candidate completed below
+    /// `+∞` (an empty iterator).
+    ///
+    /// Stages 1–3 run per candidate against the current best-so-far;
+    /// survivors queue in order, and each group goes through the DTW
+    /// stage with the best-so-far of the moment as every member's
+    /// threshold. The best-so-far only ever lags (is looser than) the
+    /// one-at-a-time scan's, so nothing that could win is pruned, and a
+    /// tie never displaces the earlier index. When `kernel` routes mining
+    /// scans to the batched kernel ([`Kernel::batches_scans`]) a group
+    /// holds up to [`LANES`] survivors and runs on
+    /// `cdtw_batch_ea_metered`; otherwise every group is one candidate on
+    /// the scalar kernel of tier `kernel` — exactly
+    /// [`Cascade::evaluate_metered`] in a loop.
+    pub fn nearest_metered<'a, M: Meter>(
+        &mut self,
+        candidates: impl IntoIterator<Item = (usize, &'a [f64])>,
+        kernel: Kernel,
+        meter: &mut M,
+    ) -> Result<Option<(usize, f64)>> {
+        let group = if kernel.batches_scans() {
+            let n = self.prep.query.len();
+            self.bbuf.prepare(n, n, self.prep.band);
+            LANES
+        } else {
+            1
+        };
+        let mut best = (usize::MAX, f64::INFINITY);
+        let mut queue: [(usize, &[f64]); LANES] = [(usize::MAX, &[]); LANES];
+        let mut queued = 0;
+        for (i, candidate) in candidates {
+            if self.screen(candidate, best.1, queued, meter)?.is_none() {
+                queue[queued] = (i, candidate);
+                queued += 1;
+                if queued == group {
+                    self.run_group(&queue[..queued], &mut best, kernel, meter)?;
+                    queued = 0;
+                }
+            }
+        }
+        if queued > 0 {
+            self.run_group(&queue[..queued], &mut best, kernel, meter)?;
+        }
+        Ok((best.0 != usize::MAX).then_some(best))
+    }
+
+    /// Runs one queued group through the DTW stage and advances `best`
+    /// over its exact distances in queue (index) order, strict `<`.
+    fn run_group<M: Meter>(
+        &mut self,
+        queue: &[(usize, &[f64])],
+        best: &mut (usize, f64),
+        kernel: Kernel,
+        meter: &mut M,
+    ) -> Result<()> {
+        let mut ys: [&[f64]; LANES] = [&[]; LANES];
+        for (y, &(_, c)) in ys.iter_mut().zip(queue) {
+            *y = c;
+        }
+        let mut out = [PENDING; LANES];
+        let k = queue.len();
+        self.dtw_stage(&ys[..k], best.1, kernel, &mut out[..k], meter)?;
+        for (&(i, _), o) in queue.iter().zip(&out) {
+            if let Some(d) = o.exact_distance() {
+                if d < best.1 {
+                    *best = (i, d);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Stages 1–3 against `bsf`. `Some` when a bound disposed of the
+    /// candidate; `None` when it survived, with its bounds and LB_Keogh
+    /// (q → c) terms left in lane `lane` for [`Cascade::dtw_stage`].
+    fn screen<M: Meter>(
+        &mut self,
+        candidate: &[f64],
+        bsf: f64,
+        lane: usize,
+        meter: &mut M,
+    ) -> Result<Option<CascadeOutcome>> {
         let n = self.prep.query.len();
         if candidate.len() != n {
             return Err(Error::LengthMismatch {
@@ -248,20 +360,7 @@ impl Cascade {
             });
         }
         let _span = tsdtw_obs::span("cascade");
-        // The stage-4 cost proxy charges rows filled × band width.
-        let band_width = (2 * self.prep.band + 1).min(n) as u64;
-
-        let dispose = |stats: &mut CascadeStats, meter: &mut M, stage, value| {
-            match stage {
-                PruneStage::Kim => stats.pruned_kim += 1,
-                PruneStage::KeoghQC => stats.pruned_keogh_qc += 1,
-                PruneStage::KeoghCQ => stats.pruned_keogh_cq += 1,
-                PruneStage::DtwAbandoned => stats.dtw_abandoned += 1,
-                PruneStage::DtwExact => stats.dtw_exact += 1,
-            }
-            meter.prune(stage.tag());
-            Ok(CascadeOutcome { stage, value })
-        };
+        self.cb.resize(LANES * n, 0.0);
 
         // Stage 1: LB_Kim.
         let kim = {
@@ -272,19 +371,23 @@ impl Cascade {
             lb_kim_hierarchy(&self.prep.query, candidate, bsf)?
         };
         if kim >= bsf {
-            return dispose(&mut self.stats, meter, PruneStage::Kim, kim);
+            return Ok(Some(dispose(&mut self.stats, meter, PruneStage::Kim, kim)));
         }
 
-        // Stage 2: reordered early-abandoning LB_Keogh(q -> c).
+        // Stage 2: reordered early-abandoning LB_Keogh(q -> c), keeping
+        // every term it computes; a survivor has computed all of them.
         let keogh_qc = {
             let _stage = tsdtw_obs::span("lb_keogh_qc");
             meter.lb(LbKind::Keogh);
             meter.stage_entered(FunnelStage::KeoghQC);
             meter.stage_cost(FunnelStage::KeoghQC, n as u64);
-            lb_keogh_reordered(candidate, &self.prep.env, &self.prep.order, bsf)?
+            let contrib = &mut self.cb[lane * n..(lane + 1) * n];
+            let prep = &self.prep;
+            lb_keogh_reordered_contrib(candidate, &prep.env, &prep.order, bsf, contrib)?
         };
         if keogh_qc >= bsf {
-            return dispose(&mut self.stats, meter, PruneStage::KeoghQC, keogh_qc);
+            let out = dispose(&mut self.stats, meter, PruneStage::KeoghQC, keogh_qc);
+            return Ok(Some(out));
         }
 
         // Stage 3: LB_Keogh(c -> q) with the candidate's own envelope.
@@ -292,54 +395,119 @@ impl Cascade {
             let _stage = tsdtw_obs::span("lb_keogh_cq");
             meter.stage_entered(FunnelStage::KeoghCQ);
             meter.stage_cost(FunnelStage::KeoghCQ, 3 * n as u64);
-            let cand_env = Envelope::new(candidate, self.prep.band)?;
-            meter.envelope_built(candidate.len() as u64);
+            self.cand_env.rebuild(candidate, self.prep.band)?;
+            meter.envelope_built(n as u64);
             meter.lb(LbKind::Keogh);
-            lb_keogh_ea(&self.prep.query, &cand_env, bsf)?
+            lb_keogh_ea(&self.prep.query, &self.cand_env, bsf)?
         };
         if keogh_cq >= bsf {
-            return dispose(&mut self.stats, meter, PruneStage::KeoghCQ, keogh_cq);
+            let out = dispose(&mut self.stats, meter, PruneStage::KeoghCQ, keogh_cq);
+            return Ok(Some(out));
+        }
+        self.bounds[lane] = [kim, keogh_qc, keogh_cq];
+        Ok(None)
+    }
+
+    /// Stage 4 for `group` — survivors screened into lanes
+    /// `0..group.len()` — against `bsf`: early-abandoning DTW seeded with
+    /// each lane's cumulative bound, on the batched kernel for a group of
+    /// two or more, on the scalar kernel of tier `kernel` for one.
+    /// Outcomes land in `out` in lane order.
+    fn dtw_stage<M: Meter>(
+        &mut self,
+        group: &[&[f64]],
+        bsf: f64,
+        kernel: Kernel,
+        out: &mut [CascadeOutcome],
+        meter: &mut M,
+    ) -> Result<()> {
+        let _stage = tsdtw_obs::span("cascade_dtw");
+        let prep = &self.prep;
+        let n = prep.query.len();
+        let k = group.len();
+        for slot in self.cb.chunks_exact_mut(n).take(k) {
+            meter.stage_entered(FunnelStage::Dtw);
+            suffix_sums_in_place(slot);
+        }
+        let mut ea = [EaOutcome::Exact(f64::NAN); LANES];
+        if k == 1 {
+            ea[0] = cdtw_distance_ea_metered_buf_kernel(
+                &prep.query,
+                group[0],
+                prep.band,
+                bsf,
+                Some(&self.cb[..n]),
+                SquaredCost,
+                &mut self.buf,
+                meter,
+                kernel,
+            )?;
+        } else {
+            let mut cbs: [&[f64]; LANES] = [&[]; LANES];
+            for (cb, slot) in cbs.iter_mut().zip(self.cb.chunks_exact(n)) {
+                *cb = slot;
+            }
+            cdtw_batch_ea_metered(
+                &prep.query,
+                group,
+                prep.band,
+                &[bsf; LANES][..k],
+                Some(&cbs[..k]),
+                SquaredCost,
+                &mut self.bbuf,
+                &mut ea[..k],
+                meter,
+            )?;
         }
 
-        // Stage 4: early-abandoning DTW seeded with the cumulative bound
-        // from the query-envelope pass (recomputed with per-index detail).
-        let _stage = tsdtw_obs::span("cascade_dtw");
-        meter.lb(LbKind::Keogh);
-        meter.stage_entered(FunnelStage::Dtw);
-        let _ = lb_keogh_with_contrib(candidate, &self.prep.env, &mut self.contrib)?;
-        suffix_sums_into(&self.contrib, &mut self.cb);
-        match cdtw_distance_ea_metered_buf_kernel(
-            &self.prep.query,
-            candidate,
-            self.prep.band,
-            bsf,
-            Some(&self.cb),
-            SquaredCost,
-            &mut self.buf,
-            meter,
-            default_kernel(),
-        )? {
-            EaOutcome::Exact(d) => {
-                meter.stage_cost(FunnelStage::Dtw, n as u64 * band_width);
-                if meter.enabled() {
-                    for (stage, lb) in [
-                        (FunnelStage::Kim, kim),
-                        (FunnelStage::KeoghQC, keogh_qc),
-                        (FunnelStage::KeoghCQ, keogh_cq),
-                    ] {
-                        if let Some(ppb) = tightness_ppb(lb, d) {
-                            meter.stage_tightness(stage, ppb);
+        // The stage-4 cost proxy charges rows filled × band width.
+        let band_width = (2 * prep.band + 1).min(n) as u64;
+        for ((slot, outcome), bounds) in out.iter_mut().zip(&ea).zip(&self.bounds) {
+            *slot = match *outcome {
+                EaOutcome::Exact(d) => {
+                    meter.stage_cost(FunnelStage::Dtw, n as u64 * band_width);
+                    if meter.enabled() {
+                        let stages = [FunnelStage::Kim, FunnelStage::KeoghQC, FunnelStage::KeoghCQ];
+                        for (stage, &lb) in stages.into_iter().zip(bounds) {
+                            if let Some(ppb) = tightness_ppb(lb, d) {
+                                meter.stage_tightness(stage, ppb);
+                            }
                         }
                     }
+                    dispose(&mut self.stats, meter, PruneStage::DtwExact, d)
                 }
-                dispose(&mut self.stats, meter, PruneStage::DtwExact, d)
-            }
-            EaOutcome::Abandoned { rows_filled } => {
-                meter.stage_cost(FunnelStage::Dtw, rows_filled as u64 * band_width);
-                dispose(&mut self.stats, meter, PruneStage::DtwAbandoned, bsf)
-            }
+                EaOutcome::Abandoned { rows_filled } => {
+                    meter.stage_cost(FunnelStage::Dtw, rows_filled as u64 * band_width);
+                    dispose(&mut self.stats, meter, PruneStage::DtwAbandoned, bsf)
+                }
+            };
         }
+        Ok(())
     }
+}
+
+/// Placeholder for outcome slots not yet written.
+const PENDING: CascadeOutcome = CascadeOutcome {
+    stage: PruneStage::DtwExact,
+    value: f64::NAN,
+};
+
+/// Records a candidate's disposal in the statistics and the meter.
+fn dispose<M: Meter>(
+    stats: &mut CascadeStats,
+    meter: &mut M,
+    stage: PruneStage,
+    value: f64,
+) -> CascadeOutcome {
+    match stage {
+        PruneStage::Kim => stats.pruned_kim += 1,
+        PruneStage::KeoghQC => stats.pruned_keogh_qc += 1,
+        PruneStage::KeoghCQ => stats.pruned_keogh_cq += 1,
+        PruneStage::DtwAbandoned => stats.dtw_abandoned += 1,
+        PruneStage::DtwExact => stats.dtw_exact += 1,
+    }
+    meter.prune(stage.tag());
+    CascadeOutcome { stage, value }
 }
 
 #[cfg(test)]

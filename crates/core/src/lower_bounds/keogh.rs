@@ -73,6 +73,29 @@ pub fn lb_keogh_ea(c: &[f64], env: &Envelope, bsf: f64) -> Result<f64> {
 /// checked here (a wrong permutation yields a still-valid but weaker
 /// bound if indices repeat — callers use [`sort_indices_by_magnitude`]).
 pub fn lb_keogh_reordered(c: &[f64], env: &Envelope, order: &[usize], bsf: f64) -> Result<f64> {
+    check_order(c, env, order)?;
+    Ok(reordered_ea(c, env, order, bsf, |_, _| {}))
+}
+
+/// [`lb_keogh_reordered`] that also writes each visited index's
+/// contribution into `contrib[i]` (`contrib.len() == c.len()`). When the
+/// pass runs to the end (the bound stays below `bsf`) every index was
+/// visited, so `contrib` then holds exactly the terms
+/// [`lb_keogh_with_contrib`] computes — the cascade suffix-sums them into
+/// its DTW stage's cumulative bound without a second pass.
+pub(crate) fn lb_keogh_reordered_contrib(
+    c: &[f64],
+    env: &Envelope,
+    order: &[usize],
+    bsf: f64,
+    contrib: &mut [f64],
+) -> Result<f64> {
+    check_order(c, env, order)?;
+    debug_assert_eq!(contrib.len(), c.len());
+    Ok(reordered_ea(c, env, order, bsf, |i, e| contrib[i] = e))
+}
+
+fn check_order(c: &[f64], env: &Envelope, order: &[usize]) -> Result<()> {
     check_len(c, env)?;
     if order.len() != c.len() {
         return Err(Error::InvalidParameter {
@@ -80,14 +103,27 @@ pub fn lb_keogh_reordered(c: &[f64], env: &Envelope, order: &[usize], bsf: f64) 
             reason: format!("order has {} entries for length {}", order.len(), c.len()),
         });
     }
+    Ok(())
+}
+
+#[inline(always)]
+fn reordered_ea(
+    c: &[f64],
+    env: &Envelope,
+    order: &[usize],
+    bsf: f64,
+    mut visit: impl FnMut(usize, f64),
+) -> f64 {
     let mut acc = 0.0;
     for &i in order {
-        acc += excursion(c[i], env.upper[i], env.lower[i]);
+        let e = excursion(c[i], env.upper[i], env.lower[i]);
+        visit(i, e);
+        acc += e;
         if acc >= bsf {
-            return Ok(acc);
+            return acc;
         }
     }
-    Ok(acc)
+    acc
 }
 
 /// LB_Keogh that additionally writes each index's contribution into
@@ -122,11 +158,17 @@ pub fn suffix_sums(contrib: &[f64]) -> Vec<f64> {
 /// scan loops use, reusing `cb`'s capacity across candidates.
 pub fn suffix_sums_into(contrib: &[f64], cb: &mut Vec<f64>) {
     cb.clear();
-    cb.resize(contrib.len(), 0.0);
+    cb.extend_from_slice(contrib);
+    suffix_sums_in_place(cb);
+}
+
+/// [`suffix_sums_into`] in place: turns per-index contributions into
+/// their suffix sums.
+pub(crate) fn suffix_sums_in_place(contrib: &mut [f64]) {
     let mut acc = 0.0;
-    for i in (0..contrib.len()).rev() {
-        acc += contrib[i];
-        cb[i] = acc;
+    for v in contrib.iter_mut().rev() {
+        acc += *v;
+        *v = acc;
     }
 }
 
@@ -244,6 +286,28 @@ mod tests {
         assert!((cb[0] - total).abs() < 1e-9);
         for i in 1..cb.len() {
             assert!(cb[i] <= cb[i - 1] + 1e-12);
+        }
+    }
+
+    #[test]
+    fn reordered_contrib_terms_and_suffix_sums_are_bitwise_the_plain_ones() {
+        for seed in 0..10 {
+            let q = rand_series(seed, 48);
+            let c = rand_series(seed + 40, 48);
+            let env = Envelope::new(&q, 3).unwrap();
+            let order = sort_indices_by_magnitude(&q);
+            let mut plain = Vec::new();
+            lb_keogh_with_contrib(&c, &env, &mut plain).unwrap();
+            let mut reordered = vec![f64::NAN; c.len()];
+            let lb = lb_keogh_reordered_contrib(&c, &env, &order, f64::INFINITY, &mut reordered)
+                .unwrap();
+            let want = lb_keogh_reordered(&c, &env, &order, f64::INFINITY).unwrap();
+            assert_eq!(lb.to_bits(), want.to_bits());
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reordered), bits(&plain));
+            let cb = suffix_sums(&plain);
+            suffix_sums_in_place(&mut reordered);
+            assert_eq!(bits(&reordered), bits(&cb));
         }
     }
 

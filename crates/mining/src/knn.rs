@@ -49,7 +49,7 @@ pub(crate) fn batched_band(
     series: &[Vec<f64>],
     idxs: &[usize],
 ) -> Option<usize> {
-    if !matches!(kernel, Kernel::Auto | Kernel::Batched) {
+    if !kernel.batches_scans() {
         return None;
     }
     let m = series.get(*idxs.first()?)?.len();
@@ -341,6 +341,14 @@ pub fn nn_cascade(
 /// [`nn_cascade`] with a [`Meter`] accumulating the lower-bound
 /// invocations, per-stage prune tallies and (abandoned) DP work of the
 /// whole query.
+///
+/// Routes as the brute-force scans do ([`Kernel::batches_scans`]): under the
+/// default `Auto` (or `Batched`) tier the DTW stage runs survivors in
+/// groups of up to [`LANES`] on the batched early-abandoning kernel, so
+/// the `batch.*` counters move and DP cells rise (the best-so-far is
+/// fixed for the length of a group); under a pinned scalar tier every
+/// survivor runs alone on the scalar kernel. The answer is the same
+/// either way.
 pub fn nn_cascade_metered<M: Meter>(
     train: &LabeledView<'_>,
     query: &[f64],
@@ -348,41 +356,42 @@ pub fn nn_cascade_metered<M: Meter>(
     skip: usize,
     meter: &mut M,
 ) -> Result<NnResult> {
+    nn_cascade_kernel(train, query, band, skip, default_kernel(), meter)
+}
+
+/// [`nn_cascade_metered`] under an explicit kernel tier.
+fn nn_cascade_kernel<M: Meter>(
+    train: &LabeledView<'_>,
+    query: &[f64],
+    band: usize,
+    skip: usize,
+    kernel: Kernel,
+    meter: &mut M,
+) -> Result<NnResult> {
     let _span = tsdtw_obs::span("knn");
     let mut cascade = Cascade::new(query, band)?;
-    let mut best = NnResult {
-        index: usize::MAX,
-        distance: f64::INFINITY,
-        label: 0,
-    };
-    for (i, s) in train.series.iter().enumerate() {
-        if i == skip {
-            continue;
-        }
-        let out = cascade.evaluate_metered(s, best.distance, meter)?;
-        if let Some(d) = out.exact_distance() {
-            if d < best.distance {
-                best = NnResult {
-                    index: i,
-                    distance: d,
-                    label: train.labels[i],
-                };
-            }
-        }
-    }
-    if best.index == usize::MAX {
-        return Err(Error::EmptyInput { which: "train" });
-    }
-    Ok(best)
+    let candidates = (train.series.iter().enumerate())
+        .filter(|&(i, _)| i != skip)
+        .map(|(i, s)| (i, s.as_slice()));
+    let (index, distance) = cascade
+        .nearest_metered(candidates, kernel, meter)?
+        .ok_or(Error::EmptyInput { which: "train" })?;
+    Ok(NnResult {
+        index,
+        distance,
+        label: train.labels[index],
+    })
 }
 
 /// [`nn_cascade`] on the deterministic parallel executor: candidates are
 /// evaluated in chunk-synchronous rounds against the best-so-far frozen
 /// at each chunk boundary (each worker clones the prepared cascade), and
-/// the bound advances in index order with strict `<`. The result is
-/// bitwise identical to the serial cascade at any `n_threads`; the
-/// merged counters are a pure function of `cfg.chunk` (with `chunk = 1`
-/// they equal the continuous-best-so-far serial counters exactly).
+/// the bound advances in index order with strict `<`. Each candidate
+/// goes through the cascade's stage routine as a group of one, on the
+/// scalar early-abandoning kernel. The result is bitwise identical to
+/// the serial cascade at any `n_threads`; the merged counters are a pure
+/// function of `cfg.chunk` (with `chunk = 1` they equal the serial
+/// counters under a pinned scalar tier exactly).
 pub fn nn_cascade_par<M: MeterShard>(
     train: &LabeledView<'_>,
     query: &[f64],
@@ -908,12 +917,124 @@ mod tests {
             assert_eq!(bf.index, bf_m.index, "{spec:?}");
         }
         // Cascaded path: the meter sees one cascade disposition per
-        // non-skipped exemplar, and the answer is unchanged.
-        let mut meter = WorkMeter::new();
+        // non-skipped exemplar, and the answer is unchanged. Under the
+        // default tier the DTW stage runs in batched groups; under a
+        // pinned scalar tier it runs one survivor at a time. Either way
+        // LB_Keogh is counted once per stage-2 and once per stage-3
+        // entrant (the stage-2 pass hands its terms to the DTW stage, so
+        // there is no recompute), and DTW runs exactly for the survivors.
         let plain = nn_cascade(&view, &series[0], 4, 0).unwrap();
-        let metered = nn_cascade_metered(&view, &series[0], 4, 0, &mut meter).unwrap();
-        assert_eq!(plain, metered);
-        assert_eq!(meter.candidates(), (series.len() - 1) as u64);
+        for (kernel, batched) in [(Kernel::Auto, true), (Kernel::Segmented, false)] {
+            let mut meter = WorkMeter::new();
+            let metered = nn_cascade_kernel(&view, &series[0], 4, 0, kernel, &mut meter).unwrap();
+            assert_eq!(plain, metered, "{kernel:?}");
+            assert_eq!(meter.candidates(), (series.len() - 1) as u64, "{kernel:?}");
+            let reached_qc = meter.candidates() - meter.pruned_kim;
+            let reached_cq = reached_qc - meter.pruned_keogh_qc;
+            assert_eq!(meter.lb_keogh, reached_qc + reached_cq, "{kernel:?}");
+            assert_eq!(meter.envelopes_built, reached_cq, "{kernel:?}");
+            let survivors = meter.dtw_abandoned + meter.dtw_exact;
+            assert_eq!(meter.ea_invocations, survivors, "{kernel:?}");
+            if batched {
+                assert!(meter.batch_groups > 0, "the batched DTW stage must engage");
+                assert!(meter.batch_lanes <= survivors);
+            } else {
+                assert_eq!((meter.batch_groups, meter.batch_lanes), (0, 0));
+            }
+        }
+    }
+
+    /// Deterministic z-normalised random walks for the tie tests.
+    fn walks(count: usize, n: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        (0..count)
+            .map(|_| {
+                let mut v = 0.0;
+                let walk: Vec<f64> = (0..n)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        v += ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0;
+                        v
+                    })
+                    .collect();
+                tsdtw_core::norm::znorm(&walk).unwrap()
+            })
+            .collect()
+    }
+
+    /// Exactness of the batched DTW stage on exact ties: duplicates placed
+    /// across group boundaries (7/8 and 15/16, where the first groups end
+    /// when every candidate survives) and an all-duplicates set, with
+    /// skips inside a group. Index, label and distance bits must match
+    /// the brute-force scan under the default tier and under a pinned
+    /// scalar tier, with one disposition per non-skipped candidate and
+    /// the funnel's stage-conservation laws intact.
+    #[test]
+    fn cascade_ties_across_group_boundaries_match_brute_force_bitwise() {
+        use tsdtw_obs::{FunnelStage, WorkMeter};
+        let (n, band) = (40, 4);
+        let mut series = walks(24, n, 7);
+        series[8] = series[7].clone();
+        series[16] = series[15].clone();
+        let labels: Vec<usize> = (0..series.len()).map(|i| i % 3).collect();
+        let all_same = vec![series[3].clone(); 20];
+        let same_labels: Vec<usize> = (0..all_same.len()).map(|i| i % 4).collect();
+        let nudge = |s: &[f64], by: f64| -> Vec<f64> {
+            s.iter()
+                .enumerate()
+                .map(|(i, v)| v + by * (i as f64 * 0.7).sin())
+                .collect()
+        };
+        let queries = [
+            nudge(&series[7], 0.01),
+            nudge(&series[15], 0.02),
+            nudge(&series[16], 0.0),
+            walks(1, n, 99).remove(0),
+        ];
+        let sets = [(&series, &labels), (&all_same, &same_labels)];
+        let mut batched_groups = 0;
+        for (set, labs) in sets {
+            let view = LabeledView::new(set, labs).unwrap();
+            for q in &queries {
+                for skip in [usize::MAX, 0, 3, 7, 8, 12, 15, 16] {
+                    let want =
+                        nn_brute_force(&view, q, DistanceSpec::CdtwBand(band), skip).unwrap();
+                    for kernel in [Kernel::Auto, Kernel::Segmented] {
+                        let mut m = WorkMeter::new();
+                        let got = nn_cascade_kernel(&view, q, band, skip, kernel, &mut m).unwrap();
+                        let at = format!("skip {skip} {kernel:?}");
+                        assert_eq!(got.index, want.index, "{at}");
+                        assert_eq!(got.label, want.label, "{at}");
+                        assert_eq!(got.distance.to_bits(), want.distance.to_bits(), "{at}");
+                        let live = (0..set.len()).filter(|&i| i != skip).count() as u64;
+                        assert_eq!(m.candidates(), live, "{at}");
+                        let f = &m.funnel;
+                        let order = [
+                            FunnelStage::Kim,
+                            FunnelStage::KeoghQC,
+                            FunnelStage::KeoghCQ,
+                            FunnelStage::Dtw,
+                        ];
+                        assert_eq!(f.stage(FunnelStage::Kim).entered, live, "{at}");
+                        for w in order.windows(2) {
+                            assert_eq!(f.stage(w[0]).survived(), f.stage(w[1]).entered, "{at}");
+                        }
+                        assert_eq!(f.stage(FunnelStage::Dtw).survived(), m.dtw_exact, "{at}");
+                        batched_groups += m.batch_groups;
+                        if kernel == Kernel::Segmented {
+                            assert_eq!(m.batch_groups, 0, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(batched_groups > 0, "the batched DTW stage never engaged");
+        // The public entry point runs the default tier.
+        let view = LabeledView::new(&series, &labels).unwrap();
+        let want = nn_brute_force(&view, &queries[0], DistanceSpec::CdtwBand(band), 8).unwrap();
+        assert_eq!(nn_cascade(&view, &queries[0], band, 8).unwrap(), want);
     }
 
     #[test]
@@ -939,6 +1060,11 @@ mod tests {
         assert!(nn_cascade_par(&view, &series[0], 2, 0, &cfg, &mut NoMeter).is_err());
     }
 
+    /// At chunk 1 the parallel cascade advances the best-so-far after
+    /// every candidate, exactly as the serial cascade does under a pinned
+    /// scalar tier (both run each survivor alone through the one stage
+    /// routine), so answers and every counter agree. The default-tier
+    /// serial run batches its DTW stage: same answer, its own counters.
     #[test]
     fn par_cascade_chunk_one_equals_serial_metered_exactly() {
         use tsdtw_obs::WorkMeter;
@@ -948,7 +1074,16 @@ mod tests {
             labels: &labels,
         };
         let mut serial_meter = WorkMeter::new();
-        let serial = nn_cascade_metered(&view, &series[3], 4, 3, &mut serial_meter).unwrap();
+        let serial = nn_cascade_kernel(
+            &view,
+            &series[3],
+            4,
+            3,
+            Kernel::Segmented,
+            &mut serial_meter,
+        )
+        .unwrap();
+        assert_eq!(serial, nn_cascade(&view, &series[3], 4, 3).unwrap());
         for threads in [1usize, 2, 3, 7] {
             let cfg = ParConfig::with_chunk(threads, 1).unwrap();
             let mut meter = WorkMeter::new();

@@ -350,6 +350,70 @@ fn prepared_cascade_clone_never_allocates() {
     }
 }
 
+/// A warmed cascade runs a whole 1-NN scan — candidate envelopes rebuilt
+/// in place, stage-2 terms kept in its lane slots, survivors through
+/// batched early-abandoning DTW groups and single-candidate tails —
+/// without touching the heap. One warm-up candidate through the same
+/// scan sizes every scratch buffer.
+#[test]
+fn warmed_cascade_scan_never_allocates() {
+    /// Counts the work that proves the hot paths ran, without the
+    /// allocating histograms a `WorkMeter` keeps.
+    #[derive(Default)]
+    struct Tally {
+        envelopes: u64,
+        groups: u64,
+        ea_calls: u64,
+    }
+    impl tsdtw_obs::Meter for Tally {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn envelope_built(&mut self, _points: u64) {
+            self.envelopes += 1;
+        }
+        fn batch_group(&mut self, _lanes: u64) {
+            self.groups += 1;
+        }
+        fn ea_rows(&mut self, _filled: u64, _total: u64) {
+            self.ea_calls += 1;
+        }
+    }
+
+    let n = 128;
+    let band = 13;
+    let train: Vec<Vec<f64>> = random_walks(200, n, 0xD15C + 7)
+        .expect("generator")
+        .iter()
+        .map(|s| znorm(s).expect("non-constant walk"))
+        .collect();
+    let query = znorm(&random_walks(1, n, 0xD15C + 8).expect("generator")[0]).expect("query");
+    let kernel = tsdtw::core::Kernel::Auto;
+    let mut cascade = Cascade::new(&query, band).expect("valid query");
+    let mut tally = Tally::default();
+    cascade
+        .nearest_metered([(0, train[0].as_slice())], kernel, &mut tally)
+        .expect("valid candidate");
+
+    let candidates = train.iter().map(|s| s.as_slice()).enumerate();
+    let probe = AllocScope::begin();
+    let best = cascade
+        .nearest_metered(candidates, kernel, &mut tally)
+        .expect("valid candidates");
+    let warm = probe.end();
+
+    assert!(best.is_some());
+    assert!(tally.envelopes > 1, "no candidate reached stage 3");
+    assert!(tally.groups > 0, "no batched DTW group ran");
+    assert!(tally.ea_calls > tally.groups, "DTW stage barely ran");
+    if strict() {
+        assert!(
+            warm.is_zero(),
+            "warmed cascade scan touched the heap: {warm:?}"
+        );
+    }
+}
+
 /// The paper's memory claim, end to end: FastDTW's per-call transient
 /// peak grows with its level count, while banded `cDTW`'s footprint stays
 /// a band-window plus two rows — O(N) with a small constant — so the

@@ -356,8 +356,10 @@ proptest! {
             (0..refs.len()).map(|l| threshold * (0.25 + 0.37 * l as f64)).collect();
         let mut bbuf = BatchBuffer::new();
         let mut m_batch = WorkMeter::new();
-        let outcomes = cdtw_batch_ea_metered(
-            &x, &refs, band, &thresholds, None, SquaredCost, &mut bbuf, &mut m_batch,
+        let mut outcomes = vec![EaOutcome::Exact(f64::NAN); refs.len()];
+        cdtw_batch_ea_metered(
+            &x, &refs, band, &thresholds, None, SquaredCost, &mut bbuf, &mut outcomes,
+            &mut m_batch,
         )
         .unwrap();
         let mut m_scalar = WorkMeter::new();

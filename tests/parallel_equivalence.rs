@@ -20,14 +20,19 @@
 //!   pairwise matrices) match the plain serial path exactly at any
 //!   `(n_threads, chunk)`;
 //! * best-so-far-pruned scans (`par_fold_argmin`: the 1-NN cascade,
-//!   subsequence search) match the plain serial path exactly at
-//!   `chunk = 1`, and for any fixed chunk their counters are identical
-//!   at every thread count (winners are bitwise identical regardless).
+//!   subsequence search) match the one-candidate-at-a-time serial path
+//!   exactly at `chunk = 1`, and for any fixed chunk their counters are
+//!   identical at every thread count (winners are bitwise identical
+//!   regardless). For the cascade that serial path is the one under a
+//!   pinned scalar tier: under the default tier the serial cascade runs
+//!   its DTW stage in batched groups, with its own counters.
 
 use proptest::prelude::*;
 use proptest::strategy::Just;
 use tsdtw::core::cost::SquaredCost;
 use tsdtw::core::dtw::banded::cdtw_distance_metered;
+use tsdtw::core::lower_bounds::Cascade;
+use tsdtw::core::Kernel;
 use tsdtw::mining::knn::{
     evaluate_split_par, knn_brute_force_metered, knn_brute_force_par, nn_cascade_metered,
     nn_cascade_par,
@@ -77,7 +82,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// 1-NN cascade, chunk = 1: winner, distance and *every* counter
-    /// equal the continuous-best-so-far serial scan byte for byte.
+    /// equal the continuous-best-so-far serial scan byte for byte — the
+    /// cascade's stage routine run one candidate at a time (a pinned
+    /// scalar tier). The default-tier serial entry point, which batches
+    /// its DTW stage, returns the same winner bit for bit.
     #[test]
     fn cascade_chunk_one_is_bitwise_serial(
         (series, labels) in labeled_suite(10, 48),
@@ -86,7 +94,15 @@ proptest! {
     ) {
         let view = LabeledView::new(&series, &labels).unwrap();
         let mut serial_meter = WorkMeter::new();
-        let serial = nn_cascade_metered(&view, &query, band, usize::MAX, &mut serial_meter).unwrap();
+        let candidates = series.iter().map(|s| s.as_slice()).enumerate();
+        let (index, distance) = Cascade::new(&query, band)
+            .unwrap()
+            .nearest_metered(candidates, Kernel::Segmented, &mut serial_meter)
+            .unwrap()
+            .unwrap();
+        let serial = nn_cascade_metered(&view, &query, band, usize::MAX, &mut WorkMeter::new()).unwrap();
+        prop_assert_eq!(serial.index, index);
+        prop_assert_eq!(bits(serial.distance), bits(distance));
         for n in thread_counts() {
             let cfg = ParConfig::with_chunk(n, 1).unwrap();
             let mut par_meter = WorkMeter::new();
